@@ -254,7 +254,7 @@ mod tests {
     use super::*;
     use crate::config::{RtGcnConfig, Strategy};
     use rtgcn_market::{Market, RelationKind, Scale, StockDataset, UniverseSpec};
-    use rtgcn_telemetry::Level;
+    use rtgcn_telemetry::{Level, ModelScope, ScopeGuard};
 
     fn tiny_dataset() -> StockDataset {
         let mut spec = UniverseSpec::of(Market::Csi, Scale::Small);
@@ -278,8 +278,18 @@ mod tests {
         }
     }
 
+    /// A private telemetry scope for tests that fit without asserting on
+    /// telemetry: their `fit.loss` series and events land here instead of
+    /// the root registry that the telemetry-asserting tests read.
+    fn own_scope() -> (ModelScope, ScopeGuard) {
+        let scope = ModelScope::new();
+        let guard = scope.enter();
+        (scope, guard)
+    }
+
     #[test]
     fn fit_and_score_through_trait() {
+        let _scope = own_scope();
         let ds = tiny_dataset();
         let relations = ds.relations(RelationKind::Both);
         let mut model = RtGcn::new(tiny_config(Strategy::Weighted), &relations, 3);
@@ -295,6 +305,7 @@ mod tests {
 
     #[test]
     fn loss_decreases_over_epochs() {
+        let _scope = own_scope();
         let ds = tiny_dataset();
         let relations = ds.relations(RelationKind::Both);
         let mut cfg = tiny_config(Strategy::Uniform);
@@ -354,6 +365,7 @@ mod tests {
 
     #[test]
     fn fit_report_carries_epoch_and_phase_timings() {
+        let _scope = own_scope();
         let ds = tiny_dataset();
         let relations = ds.relations(RelationKind::Both);
         let mut model = RtGcn::new(tiny_config(Strategy::Weighted), &relations, 3);

@@ -124,6 +124,11 @@ impl TimePlaneCache {
         }
     }
 
+    /// Raw per-edge dots of every ingested plane, `(day, edge)` row-major.
+    pub fn raw_dots(&self) -> &[f32] {
+        &self.rawdot
+    }
+
     /// Assemble the `(t_steps, E)` correlation factor for the window ending
     /// at `end_day`, given the per-stock window-end anchors (each stock's
     /// feature divisor) and the `√d` scale of Eq. 5.

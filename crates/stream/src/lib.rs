@@ -379,16 +379,11 @@ impl StreamEngine {
             relations.directed_edges(),
             &raw,
         );
-        // Unit anchors / unit scale expose the raw per-edge dots verbatim
-        // (division by 1.0 is exact), over every generated plane at once.
-        let ones = vec![1.0f32; n];
-        let (a, b) =
-            (self.planes.corr_window(days - 1, days, &ones, 1.0), fp.corr_window(days - 1, days, &ones, 1.0));
-        let (ab, bb): (Vec<u32>, Vec<u32>) = (
-            a.data().iter().map(|v| v.to_bits()).collect(),
-            b.data().iter().map(|v| v.to_bits()).collect(),
-        );
-        if ab != bb {
+        // Every generated plane's raw per-edge dots, compared in place: the
+        // history grows by one plane per streamed day, so copies of it
+        // would set the process's peak memory.
+        let (a, b) = (self.planes.raw_dots(), fp.raw_dots());
+        if a.len() != b.len() || a.iter().zip(b).any(|(x, y)| x.to_bits() != y.to_bits()) {
             return Err("per-plane dots diverge from the batch rebuild".into());
         }
 

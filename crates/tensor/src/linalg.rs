@@ -51,6 +51,13 @@ pub fn num_threads() -> usize {
     }
 }
 
+/// Serialises unit tests that mutate the process-global thread override.
+#[cfg(test)]
+pub(crate) fn override_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Parallelise `f(row_range)` over `rows` rows when `work` is large enough.
 /// Shared by the dense matmuls here and the fused sparse kernels in
 /// [`crate::ops::sparse`].
@@ -63,16 +70,20 @@ pub(crate) fn par_rows(rows: usize, work: usize, out: &mut [f32], row_len: usize
         return;
     }
     let chunk = rows.div_ceil(threads);
-    crossbeam::scope(|s| {
-        for (c, out_chunk) in out.chunks_mut(chunk * row_len).enumerate() {
-            let f = &f;
-            s.spawn(move |_| {
-                let base = c * chunk;
-                for (k, row) in out_chunk.chunks_mut(row_len).enumerate() {
-                    f(base + k, row);
-                }
-            });
+    let run = |base: usize, out_chunk: &mut [f32]| {
+        for (k, row) in out_chunk.chunks_mut(row_len).enumerate() {
+            f(base + k, row);
         }
+    };
+    // The calling thread takes the first chunk itself, so only
+    // `threads - 1` workers are spawned.
+    let (head, tail) = out.split_at_mut(chunk * row_len);
+    crossbeam::scope(|s| {
+        for (c, out_chunk) in tail.chunks_mut(chunk * row_len).enumerate() {
+            let run = &run;
+            s.spawn(move |_| run((c + 1) * chunk, out_chunk));
+        }
+        run(0, head);
     })
     .expect("matmul worker thread panicked");
 }
@@ -269,12 +280,6 @@ mod tests {
     #[should_panic(expected = "inner dims mismatch")]
     fn matmul_dim_mismatch_panics() {
         let _ = matmul(&Tensor::zeros([2, 3]), &Tensor::zeros([4, 2]));
-    }
-
-    /// Serialises tests that mutate the process-global thread override.
-    fn override_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     #[test]

@@ -5,6 +5,55 @@
 use proptest::prelude::*;
 use rtgcn_tensor::{linalg, ConvSpec, Edges, Tape, Tensor};
 
+/// The original scalar conv kernel, the bitwise reference for
+/// `conv1d_causal` (shared with the crate's unit tests).
+#[path = "../src/ops/conv_oracle.rs"]
+mod conv_oracle;
+
+/// Forward output and `[gX, gW, gb]` of one taped conv, as bit patterns.
+fn conv_bits(x: &Tensor, w: &Tensor, bias: &Tensor, g: &Tensor, spec: ConvSpec) -> [Vec<u32>; 4] {
+    let mut tape = Tape::new();
+    let (xv, wv, bv) = (tape.leaf(x.clone()), tape.leaf(w.clone()), tape.leaf(bias.clone()));
+    let y = tape.conv1d_causal(xv, wv, bv, spec);
+    tape.backward_seeded(y, g.clone());
+    let grad = |v| bits(tape.grad(v).expect("leaf gradient"));
+    [bits(tape.value(y)), grad(xv), grad(wv), grad(bv)]
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A random conv problem: shapes, spec, and tensors whose upstream
+/// gradient has about a quarter of its entries set to (signed) zero.
+fn conv_case() -> impl Strategy<Value = (Tensor, Tensor, Tensor, Tensor, ConvSpec)> {
+    // Half the draws are small shapes for the edge cases, half are large
+    // enough to clear the kernels' threading threshold.
+    let dims = (0usize..2, 0usize..48, 0usize..25, 0usize..25);
+    (dims, (0usize..16, 1usize..5, 1usize..7, 1usize..4), 0u64..u64::MAX)
+        .prop_map(|((large, b, c_in, c_out), (l, k, stride, dilation), seed)| {
+            let (b, c_in, c_out, l) = if large == 1 {
+                (16 + b, 8 + c_in, 8 + c_out, 8 + l)
+            } else {
+                (1 + b % 12, 1 + c_in % 12, 1 + c_out % 12, 1 + l)
+            };
+            let spec = ConvSpec::new(k, stride, dilation);
+            let mut rng = rtgcn_tensor::init::rng(seed);
+            let x = rtgcn_tensor::init::uniform([b, c_in, l], -2.0, 2.0, &mut rng);
+            let w = rtgcn_tensor::init::uniform([c_out, c_in, k], -1.0, 1.0, &mut rng);
+            let bias = rtgcn_tensor::init::uniform([c_out], -0.5, 0.5, &mut rng);
+            let mut g = rtgcn_tensor::init::uniform([b, c_out, spec.out_len(l)], -1.0, 1.0, &mut rng);
+            for (i, v) in g.data_mut().iter_mut().enumerate() {
+                match (seed >> (i % 61)) % 8 {
+                    0 => *v = 0.0,
+                    1 => *v = -0.0,
+                    _ => {}
+                }
+            }
+            (x, w, bias, g, spec)
+        })
+}
+
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     proptest::collection::vec(-10.0f32..10.0, rows * cols)
         .prop_map(move |data| Tensor::new([rows, cols], data))
@@ -111,6 +160,28 @@ proptest! {
             let sig = 1.0 / (1.0 + (-k * xv).exp());
             let expect = k * sig * (1.0 - sig);
             prop_assert!((g.data()[i] - expect).abs() < 1e-4, "at {i}: {} vs {expect}", g.data()[i]);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `conv1d_causal` forward and all three gradients are bit-identical to
+    /// the scalar oracle, serial and threaded. The shape ranges cover
+    /// `L ≤ pad`, `stride > k`, dilation > 1 and a single stock, and the
+    /// larger draws clear the threading threshold.
+    #[test]
+    fn conv_matches_oracle_bitwise((x, w, bias, g, spec) in conv_case()) {
+        let [gx, gw, gb] = conv_oracle::backward(&x, &w, &g, spec);
+        let expect = [bits(&conv_oracle::forward(&x, &w, &bias, spec)), bits(&gx), bits(&gw), bits(&gb)];
+        for threads in [1, 4] {
+            linalg::set_num_threads(Some(threads));
+            let got = conv_bits(&x, &w, &bias, &g, spec);
+            linalg::set_num_threads(None);
+            for (part, (a, e)) in ["forward", "gX", "gW", "gb"].iter().zip(got.iter().zip(&expect)) {
+                prop_assert!(a == e, "{} differs from the oracle at {} threads ({:?})", part, threads, spec);
+            }
         }
     }
 }

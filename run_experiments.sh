@@ -294,6 +294,10 @@ cargo build --release --workspace
 # inventory.
 cargo clippy --workspace -- -D warnings
 $B/rtgcn-lint --deny --json results/LINT.json
+# Test gate: the whole workspace suite (unit, integration, property, golden
+# and parity tests of every crate), release build. Any red test stops the
+# queue here (`set -e`), before the harnesses spend hours on a broken tree.
+cargo test --release --workspace -q
 # Live-observability smoke: every queue run proves the monitor transport
 # (all four endpoints, ephemeral loopback port) before burning hours on
 # the harnesses it is meant to make watchable.
